@@ -27,7 +27,7 @@ from repro.droute.space import RoutingSpace
 from repro.obs import OBS
 from repro.geometry.l1 import rect_l2_gap, run_length
 from repro.geometry.rect import Rect
-from repro.grid.blockgrid import BlockageGrid
+from repro.grid.blockgrid import BlockageGrid, point_buried
 from repro.grid.shapegrid import RipupLevel
 from repro.grid.trackgraph import Vertex
 from repro.tech.wiring import ShapeKind, StickFigure
@@ -237,9 +237,12 @@ class PinAccessPlanner:
     ) -> List[AccessPath]:
         """DRC-clean tau-feasible access paths for one pin.
 
-        Builds are memoized on (pin, radius, neighbourhood geometry): the
-        per-endpoint blockage-grid Dijkstras dominate the planner's cost,
-        and re-routed nets usually ask for the same pin over unchanged
+        One blockage grid is built and searched per endpoint candidate,
+        except where no path can exist: an endpoint buried inside an
+        expanded foreign obstacle, or any endpoint but the pin's own
+        point when that point is buried (see :func:`point_buried`).
+        Builds are memoized on (pin, radius, neighbourhood geometry), as
+        re-routed nets usually ask for the same pin over unchanged
         geometry.  A hit replays copies of the cached paths — exactly
         what a rebuild would produce.
         """
@@ -249,7 +252,9 @@ class PinAccessPlanner:
         chip = self.space.chip
         pin_layer = pin.layers[0]
         pitch = chip.stack[pin_layer].pitch
-        radius = (radius_pitches or self.radius_pitches) * pitch
+        if radius_pitches is None:
+            radius_pitches = self.radius_pitches
+        radius = radius_pitches * pitch
         bbox = pin.bounding_box()
         window = bbox.expanded(radius)
         tau = chip.rules.same_net_rules(pin_layer).min_segment_length
@@ -270,11 +275,20 @@ class PinAccessPlanner:
             return []
         net_name = pin.net.name if pin.net is not None else ""
         source = pin.reference_point()
+        source_buried = point_buried(source, obstacles)
         graph = self.space.graph
         paths: List[AccessPath] = []
         wire_type = chip.wire_type(self.wire_type_name)
         for endpoint in endpoints:
             ex, ey, ez = graph.position(endpoint)
+            if (ex, ey) != source and (
+                source_buried or point_buried((ex, ey), obstacles)
+            ):
+                # The search would return None (source == target still
+                # gets its 0-length path below).
+                if OBS.enabled:
+                    OBS.count("pinaccess.endpoints_buried")
+                continue
             grid = BlockageGrid(
                 obstacles, tau, window.expanded(tau), [source, (ex, ey)]
             )

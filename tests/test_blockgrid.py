@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.rect import Rect
+from repro.grid import blockgrid
 from repro.grid.blockgrid import (
     BlockageGrid,
     blockage_grid_coordinates,
     min_segment_length,
     path_segments,
+    point_buried,
 )
+from repro.obs import OBS
 
 
 def _grid(obstacles, tau, bbox, terminals):
@@ -140,3 +143,52 @@ class TestShortestPath:
         dx, dy = abs(x0 - x1), abs(y0 - y1)
         if (dx == 0 or dx >= tau) and (dy == 0 or dy >= tau):
             assert length == l1
+
+
+class TestBuriedTerminals:
+    """A terminal strictly inside an obstacle ends the search before any
+    heap work: only source == target can succeed there."""
+
+    WALL = Rect(400, 400, 600, 600)
+    BURIED = (500, 500)
+    FREE = (100, 100)
+
+    @pytest.fixture(autouse=True)
+    def _obs_on_no_heap(self, monkeypatch):
+        OBS.reset()
+        OBS.configure(enabled=True)
+
+        def no_heap():
+            raise AssertionError("the search must not build a heap")
+
+        monkeypatch.setattr(blockgrid, "AddressableHeap", no_heap)
+        yield
+        OBS.reset()
+        OBS.enabled = False
+
+    def _grid(self):
+        grid = _grid(
+            [self.WALL], 40, Rect(0, 0, 1000, 1000), [self.BURIED, self.FREE]
+        )
+        assert point_buried(self.BURIED, [self.WALL])
+        assert not point_buried(self.FREE, [self.WALL])
+        return grid
+
+    def test_buried_target_returns_none_with_zero_pops(self):
+        assert self._grid().shortest_path([self.FREE], [self.BURIED]) is None
+        assert OBS.counters["blockgrid.searches"] == 1
+        assert OBS.counters.get("blockgrid.pops", 0) == 0
+
+    def test_buried_source_equal_target_is_zero_length(self):
+        grid = self._grid()
+        assert grid.shortest_path([self.BURIED], [self.BURIED]) == (
+            0, [self.BURIED]
+        )
+
+    def test_buried_source_returns_none(self):
+        assert self._grid().shortest_path([self.BURIED], [self.FREE]) is None
+        assert OBS.counters.get("blockgrid.pops", 0) == 0
+
+    def test_border_point_is_not_buried(self):
+        assert not point_buried((400, 500), [self.WALL])
+        assert not point_buried((400, 400), [self.WALL])

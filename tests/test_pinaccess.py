@@ -6,10 +6,12 @@ from repro.chip.cells import CellTemplate, CircuitInstance
 from repro.chip.design import Chip
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.chip.net import Net, Pin
+from repro.droute import pinaccess
 from repro.droute.pinaccess import AccessPath, PinAccessPlanner
 from repro.droute.space import RoutingSpace
 from repro.geometry.rect import Rect
 from repro.grid.blockgrid import min_segment_length
+from repro.obs import OBS
 from repro.tech.stacks import example_rules, example_stack, example_wiretypes
 
 
@@ -62,6 +64,78 @@ class TestCatalogue:
                 abs(a[0] - b[0]) + abs(a[1] - b[1])
                 for a, b in zip(path.points, path.points[1:])
             )
+
+
+class TestBuriedEndpoints:
+    @pytest.fixture(autouse=True)
+    def _obs_on(self):
+        OBS.reset()
+        OBS.configure(enabled=True)
+        yield
+        OBS.reset()
+        OBS.enabled = False
+
+    def _count_grids(self, monkeypatch):
+        built = []
+
+        def counting_grid(*args, **kwargs):
+            built.append(args)
+            return real_grid(*args, **kwargs)
+
+        real_grid = pinaccess.BlockageGrid
+        monkeypatch.setattr(pinaccess, "BlockageGrid", counting_grid)
+        return built
+
+    def test_all_buried_endpoints_build_no_grid(self, space, monkeypatch):
+        planner = PinAccessPlanner(space)
+        pin = space.chip.nets[0].pins[0]
+        # One foreign obstacle swallowing the whole search window buries
+        # the pin and every endpoint candidate.
+        monkeypatch.setattr(
+            planner, "_obstacles_near",
+            lambda pin, layer, window: [window.expanded(1)],
+        )
+        built = self._count_grids(monkeypatch)
+        assert planner.build_catalogue(pin) == []
+        assert built == []
+        assert OBS.counters["pinaccess.endpoints_buried"] == planner.max_endpoints
+
+    def test_buried_pin_builds_no_grid(self, space, monkeypatch):
+        planner = PinAccessPlanner(space)
+        pin = space.chip.nets[0].pins[0]
+        # Bury only the pin's own point: every endpoint elsewhere is
+        # unreachable, so no grid is built for any of them.
+        x, y = pin.reference_point()
+        monkeypatch.setattr(
+            planner, "_obstacles_near",
+            lambda pin, layer, window: [Rect(x - 1, y - 1, x + 1, y + 1)],
+        )
+        built = self._count_grids(monkeypatch)
+        paths = planner.build_catalogue(pin)
+        assert all(p.points == [(x, y)] for p in paths)
+        assert all(args[3] == [(x, y), (x, y)] for args in built)
+        assert OBS.counters["pinaccess.endpoints_buried"] >= 1
+
+    def test_free_endpoints_still_searched(self, space, monkeypatch):
+        planner = PinAccessPlanner(space)
+        built = self._count_grids(monkeypatch)
+        assert planner.build_catalogue(space.chip.nets[0].pins[0])
+        assert built
+
+
+class TestCatalogueRadius:
+    def test_explicit_zero_radius_is_honoured(self, space):
+        planner = PinAccessPlanner(space)
+        pin = space.chip.nets[0].pins[0]
+        bbox = pin.bounding_box()
+
+        def endpoints(paths):
+            return [space.graph.position(p.endpoint)[:2] for p in paths]
+
+        wide = endpoints(planner.build_catalogue(pin))
+        assert any(not bbox.contains_point(x, y) for x, y in wide)
+        for x, y in endpoints(planner.build_catalogue(pin, radius_pitches=0)):
+            assert bbox.contains_point(x, y)
 
 
 class TestConflictFreeSolution:
