@@ -118,7 +118,12 @@ def environment_fingerprint() -> Dict[str, object]:
 
 
 def git_sha() -> Optional[str]:
-    """The repo HEAD commit, or None outside a usable git checkout."""
+    """The repo HEAD commit, or None outside a usable git checkout.
+
+    A ``-dirty`` suffix marks a record produced with uncommitted changes
+    to tracked files other than the bench records themselves, so it is
+    never credited to HEAD itself.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -127,10 +132,22 @@ def git_sha() -> Optional[str]:
             text=True,
             timeout=10,
         )
+        status = subprocess.run(
+            [
+                "git", "status", "--porcelain", "--untracked-files=no",
+                "--", ".", ":(exclude)BENCH_*.json",
+            ],
+            cwd=str(REPO_ROOT),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
     except (OSError, subprocess.TimeoutExpired):
         return None
     sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    if out.returncode != 0 or not sha:
+        return None
+    return sha + "-dirty" if status.stdout.strip() else sha
 
 
 def bench_record_path(bench: str, directory: Optional[str] = None) -> Path:

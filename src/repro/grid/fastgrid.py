@@ -10,10 +10,8 @@ generation counters (epochs) instead of popping dict entries.
 
 Storage layout: one uint16 word per vertex, four legal bits (bit ``i`` for
 ``SHAPE_TYPES[i]``) plus four 3-bit ripup fields (bits ``4 + 3i``), with
-``RIPUP_FIXED`` encoded as 7.  The arrays are numpy when available and the
-grid is constructed ``vectorized``; otherwise a pure-python
-``array('H')``/``bytearray`` fallback keeps numpy optional (mirroring the
-path-search label arrays).
+``RIPUP_FIXED`` encoded as 7, in a pure-python ``array('H')`` per track
+with a ``bytearray`` of validity bits beside it.
 
 Edge usability is deduced from the two endpoint vertex words whenever only
 on-track wiring is present; where off-track shapes are nearby, a *dirty
@@ -32,7 +30,6 @@ layers on top of the words themselves.
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -43,11 +40,6 @@ from repro.obs import OBS
 from repro.grid.trackgraph import TrackGraph, Vertex
 from repro.tech.layers import Direction
 from repro.tech.wiring import StickFigure, WireType
-
-try:  # numpy is optional; the packed arrays fall back to array('H').
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via vectorized=False
-    _np = None
 
 #: Shape types a fast-grid word stores, in order.
 SHAPE_TYPES = ("wire", "jog", "via_down", "via_up")
@@ -92,13 +84,9 @@ class _TrackWords:
 
     __slots__ = ("words", "valid")
 
-    def __init__(self, ncross: int, vectorized: bool) -> None:
-        if vectorized:
-            self.words = _np.zeros(ncross, dtype=_np.uint16)
-            self.valid = _np.zeros(ncross, dtype=bool)
-        else:
-            self.words = array("H", bytes(2 * ncross))
-            self.valid = bytearray(ncross)
+    def __init__(self, ncross: int) -> None:
+        self.words = array("H", bytes(2 * ncross))
+        self.valid = bytearray(ncross)
 
 
 class IntervalCache:
@@ -149,7 +137,6 @@ class FastGrid:
         checker: DistanceRuleChecker,
         wire_types: Sequence[WireType],
         enabled: bool = True,
-        vectorized: Optional[bool] = None,
     ) -> None:
         self.graph = graph
         self.checker = checker
@@ -157,11 +144,6 @@ class FastGrid:
         #: When disabled, every query goes straight to the checker
         #: (ablation baseline for the 5.29x speed-up statistic).
         self.enabled = enabled
-        if vectorized is None:
-            vectorized = not os.environ.get("REPRO_FASTGRID_NOVEC")
-        #: Packed-array sweeps require numpy; the scalar fallback keeps
-        #: identical packed storage in ``array('H')``.
-        self.vectorized = bool(vectorized) and _np is not None
         # (wiretype, z, t) -> packed per-track word array
         self._tracks: Dict[Tuple[str, int, int], _TrackWords] = {}
         # Vertices whose incident edges cannot be deduced from vertex
@@ -226,7 +208,7 @@ class FastGrid:
         key = (wire_type_name, z, t)
         tw = self._tracks.get(key)
         if tw is None:
-            tw = _TrackWords(len(self.graph.crosses[z]), self.vectorized)
+            tw = _TrackWords(len(self.graph.crosses[z]))
             self._tracks[key] = tw
         return tw
 
@@ -244,14 +226,8 @@ class FastGrid:
         if not self.enabled or c_lo > c_hi:
             return 0
         tw = self._track_words(wire_type_name, z, t)
-        if self.vectorized:
-            missing = [
-                int(i) + c_lo
-                for i in _np.flatnonzero(~tw.valid[c_lo:c_hi + 1])
-            ]
-        else:
-            valid = tw.valid
-            missing = [c for c in range(c_lo, c_hi + 1) if not valid[c]]
+        valid = tw.valid
+        missing = [c for c in range(c_lo, c_hi + 1) if not valid[c]]
         if not missing:
             return 0
         wire_type = self.wire_types[wire_type_name]
@@ -282,7 +258,6 @@ class FastGrid:
                     axis_x=band.width >= band.height,
                 )
         words = tw.words
-        valid = tw.valid
         for c in missing:
             words[c] = pack_word(
                 self._compute_word(wire_type, (z, t, c), prefetched=prefetched)
@@ -308,7 +283,7 @@ class FastGrid:
             self.hits += 1
             if OBS.enabled:
                 OBS.count("fastgrid.hits")
-            return int(tw.words[c])
+            return tw.words[c]
         self.misses += 1
         if OBS.enabled:
             OBS.count("fastgrid.misses")
@@ -337,13 +312,11 @@ class FastGrid:
         tw = self._tracks.get((wire_type_name, z, t))
         if tw is None or not tw.valid[c]:
             return None
-        return unpack_word(int(tw.words[c]))
+        return unpack_word(tw.words[c])
 
     def cached_word_count(self) -> int:
         """Number of currently valid cached words across all tracks."""
-        if self.vectorized:
-            return sum(int(tw.valid.sum()) for tw in self._tracks.values())
-        return sum(sum(tw.valid) for tw in self._tracks.values())
+        return sum(tw.valid.count(1) for tw in self._tracks.values())
 
     # ------------------------------------------------------------------
     # Usability queries used by the path search
@@ -455,9 +428,7 @@ class FastGrid:
         maximal runs of plainly usable vertices, plus singleton runs for
         vertices only usable by ripping foreign wiring (level <=
         ``ripup_level``).  ``forced_cs`` vertices count as plainly usable
-        regardless of their words (the source/target override).  The
-        vectorized path scans the packed word arrays with numpy; the
-        fallback walks them scalar — both produce identical runs.
+        regardless of their words (the source/target override).
         """
         runs: List[Tuple[int, int, bool]] = []
         for c_lo, c_hi in ranges:
@@ -477,25 +448,11 @@ class FastGrid:
                     self.hits += reused
                     if OBS.enabled:
                         OBS.count("fastgrid.hits", reused)
-                tw = self._tracks[(wire_type_name, z, t)]
-                if self.vectorized:
-                    seg = tw.words[c_lo:c_hi + 1]
-                    legal = (seg & 1).astype(bool)
-                    state = legal.view(_np.int8).copy()
-                    if ripup_level >= 0:
-                        enc = (seg >> 4) & 7
-                        rippable = (
-                            ~legal
-                            & (enc != _RIPUP_FIXED_ENC)
-                            & (enc <= ripup_level)
-                        )
-                        state[rippable] = 2
-                else:
-                    words = tw.words
-                    state = [
-                        self._state_for_bits(words[c], ripup_level)
-                        for c in range(c_lo, c_hi + 1)
-                    ]
+                words = self._tracks[(wire_type_name, z, t)].words
+                state = [
+                    self._state_for_bits(words[c], ripup_level)
+                    for c in range(c_lo, c_hi + 1)
+                ]
             if forced_cs:
                 for c in forced_cs:
                     if c_lo <= c <= c_hi:
@@ -517,20 +474,14 @@ class FastGrid:
 
     @staticmethod
     def _append_state_runs(
-        runs: List[Tuple[int, int, bool]], state, c_lo: int
+        runs: List[Tuple[int, int, bool]], state: List[int], c_lo: int
     ) -> None:
         n = len(state)
-        if _np is not None and isinstance(state, _np.ndarray):
-            change = _np.flatnonzero(state[1:] != state[:-1]) + 1
-            starts = [0] + [int(i) for i in change]
-        else:
-            starts = [0] + [
-                i for i in range(1, n) if state[i] != state[i - 1]
-            ]
+        starts = [0] + [i for i in range(1, n) if state[i] != state[i - 1]]
         starts.append(n)
         for k in range(len(starts) - 1):
             s, e = starts[k], starts[k + 1]
-            st = int(state[s])
+            st = state[s]
             if st == 1:
                 runs.append((c_lo + s, c_lo + e - 1, False))
             elif st == 2:
@@ -573,19 +524,12 @@ class FastGrid:
             c_lo, c_hi = cross_range[0], cross_range[-1]
             for t in track_range:
                 track_epochs[(z, t)] = track_epochs.get((z, t), 0) + 1
-            if self.vectorized:
-                for wt_name in self.wire_types:
-                    for t in track_range:
-                        tw = self._tracks.get((wt_name, z, t))
-                        if tw is not None:
-                            tw.valid[c_lo:c_hi + 1] = False
-            else:
-                for wt_name in self.wire_types:
-                    for t in track_range:
-                        tw = self._tracks.get((wt_name, z, t))
-                        if tw is not None:
-                            for c in range(c_lo, c_hi + 1):
-                                tw.valid[c] = 0
+            cleared = bytes(c_hi - c_lo + 1)
+            for wt_name in self.wire_types:
+                for t in track_range:
+                    tw = self._tracks.get((wt_name, z, t))
+                    if tw is not None:
+                        tw.valid[c_lo:c_hi + 1] = cleared
             if off_track:
                 for t in track_range:
                     dirty = self._dirty.setdefault((z, t), set())
@@ -629,17 +573,6 @@ class FastGrid:
         (array) order — no per-call sorting.
         """
         count = 0
-        if self.vectorized:
-            for tw in self._tracks.values():
-                valid_idx = _np.flatnonzero(tw.valid)
-                if len(valid_idx) == 0:
-                    continue
-                count += 1
-                if len(valid_idx) > 1:
-                    contiguous = valid_idx[1:] == valid_idx[:-1] + 1
-                    same = tw.words[valid_idx[1:]] == tw.words[valid_idx[:-1]]
-                    count += int((~(contiguous & same)).sum())
-            return count
         for tw in self._tracks.values():
             previous_c: Optional[int] = None
             previous_word: Optional[int] = None

@@ -119,6 +119,58 @@ class TestDetailedRouter:
         for stick in route.wires:
             assert clipped.expanded(margin).contains_rect(stick.as_rect())
 
+    def test_isr_fallback_rung_builds_no_corridor_bound(self):
+        """Every net has a corridor; only the primary connector builds pi_GR.
+
+        With the interval search faulted on every attempt, each net is
+        recovered by the real isr_fallback rung, which drops the corridor
+        and so never builds FutureCostGR.  Without faults the primary
+        connector steers every corridor-restricted search with pi_GR.
+        """
+        from repro.flow.faults import FaultInjector, FaultPlan, FaultSpec
+        from repro.obs import OBS
+
+        spec = ChipSpec("fbgr", rows=2, row_width_cells=4, net_count=4, seed=2)
+        built = {}
+        OBS.reset()
+        OBS.configure(enabled=True)
+        try:
+            for rung in ("isr_fallback", "baseline"):
+                OBS.reset()
+                chip = generate_chip(spec)
+                corridors = {
+                    net.name: RoutingArea.from_boxes(
+                        [(z, chip.die) for z in chip.stack.indices]
+                    )
+                    for net in chip.nets
+                }
+                injector = None
+                if rung == "isr_fallback":
+                    injector = FaultInjector(FaultPlan(
+                        [FaultSpec("path_search", fraction=1.0, fires_per_net=None)],
+                        seed=1,
+                    ))
+                router = DetailedRouter(
+                    RoutingSpace(chip), corridors=corridors,
+                    fault_injector=injector,
+                )
+                result = router.run()
+                assert not result.failed, rung
+                if rung == "isr_fallback":
+                    assert set(result.recovered.values()) == {"isr_fallback"}
+                built[rung] = (
+                    OBS.counters.get("pathsearch.kernel.pi_gr_searches", 0),
+                    result.stats.used_pi_gr,
+                    result.stats.searches,
+                )
+        finally:
+            OBS.reset()
+            OBS.enabled = False
+        assert built["isr_fallback"][:2] == (0, 0)
+        assert built["isr_fallback"][2] > 0
+        pi_gr, used, searches = built["baseline"]
+        assert pi_gr == used == searches > 0
+
 
 class TestPartition:
     def test_sequence_shrinks_to_one_region(self):

@@ -1,7 +1,7 @@
 """Run the documented examples of the path-search stack as tests.
 
 The module docstrings of ``droute.pathsearch`` and ``droute.future_cost``
-carry runnable examples (kernel equivalence, future-cost admissibility);
+carry runnable examples (interval vs node search, future-cost admissibility);
 executing them in CI keeps the documentation honest.
 """
 

@@ -19,12 +19,9 @@ from repro.droute.future_cost import (
 )
 from repro.droute.intervals import GraphView
 from repro.droute.pathsearch import (
-    BucketKernel,
-    HeapKernel,
     interval_path_search,
     node_path_search,
     path_to_moves,
-    resolve_kernel,
 )
 from repro.droute.space import RoutingSpace
 from repro.geometry.rect import Rect
@@ -222,11 +219,12 @@ class TestBlockagesAndRipup:
 
 
 class TestKernelEquivalence:
-    """The heap and bucket kernels are interchangeable engines.
+    """The interval and node searches are interchangeable engines.
 
-    Both break priority ties FIFO by insertion order, so they pop labels
-    in the identical order and must return not just the same optimal
-    cost but the *identical vertex path* on every instance.
+    Under every future cost the router uses - pi_H, pi_P and the
+    corridor bound pi_GR - interval labelling must return exactly the
+    optimal cost of node labelling on every instance, and find a path
+    exactly when node labelling does.
     """
 
     def _instances(self, space, seed, count):
@@ -244,22 +242,33 @@ class TestKernelEquivalence:
                 out.append((s, t))
         return out
 
-    def _run_kernels(self, space, s, t, search, pi_factory, ripup=-2):
+    def _assert_same_cost(self, space, s, t, pi_factory, ripup=-2):
         costs = SearchCosts()
         area = RoutingArea.everywhere()
         results = []
-        for kernel in ("heap", "bucket"):
+        for search in (interval_path_search, node_path_search):
             view = GraphView(space, "default", area, ripup_level=ripup,
                              forced_vertices={s, t})
             pi = pi_factory(space, view, s, t, costs, area)
-            results.append(
-                search(view, {s: 0}, {t}, costs, pi, kernel=kernel)
-            )
-        return results
+            results.append(search(view, {s: 0}, {t}, costs, pi))
+        interval_r, node_r = results
+        assert (interval_r is None) == (node_r is None), f"{s} -> {t}"
+        if interval_r is not None:
+            assert interval_r.cost == node_r.cost, f"{s} -> {t}"
+            assert interval_r.vertices[0] == s, f"{s} -> {t}"
+            assert interval_r.vertices[-1] == t, f"{s} -> {t}"
 
     @staticmethod
     def _pi_h(space, view, s, t, costs, area):
         return FutureCostH(space.graph, [t], costs)
+
+    @staticmethod
+    def _pi_p(space, view, s, t, costs, area):
+        large = [
+            (layer, rect)
+            for layer, rect, _own in space.chip.obstruction_shapes()
+        ]
+        return FutureCostP(space.graph, [t], costs, area, large)
 
     @staticmethod
     def _pi_gr(space, view, s, t, costs, area):
@@ -267,93 +276,43 @@ class TestKernelEquivalence:
                             view=view, stop_vertices={s})
 
     def test_interval_equivalence_200_instances(self, space):
-        """>= 200 seeded instances: identical cost and identical path."""
+        """>= 200 seeded instances under pi_H: identical optimal cost."""
         for s, t in self._instances(space, seed=101, count=200):
-            heap_r, bucket_r = self._run_kernels(
-                space, s, t, interval_path_search, self._pi_h
-            )
-            assert (heap_r is None) == (bucket_r is None), f"{s} -> {t}"
-            if heap_r is None:
-                continue
-            assert heap_r.cost == bucket_r.cost, f"{s} -> {t}"
-            assert heap_r.vertices == bucket_r.vertices, f"{s} -> {t}"
+            self._assert_same_cost(space, s, t, self._pi_h)
 
     def test_interval_equivalence_under_pi_gr(self, space):
         for s, t in self._instances(space, seed=202, count=25):
-            heap_r, bucket_r = self._run_kernels(
-                space, s, t, interval_path_search, self._pi_gr
-            )
-            assert (heap_r is None) == (bucket_r is None), f"{s} -> {t}"
-            if heap_r is None:
-                continue
-            assert heap_r.cost == bucket_r.cost, f"{s} -> {t}"
-            assert heap_r.vertices == bucket_r.vertices, f"{s} -> {t}"
+            self._assert_same_cost(space, s, t, self._pi_gr)
 
     def test_node_equivalence(self, space):
+        """Under pi_P, the obstacle-aware classic bound."""
         for s, t in self._instances(space, seed=303, count=25):
-            heap_r, bucket_r = self._run_kernels(
-                space, s, t, node_path_search, self._pi_h
-            )
-            assert (heap_r is None) == (bucket_r is None), f"{s} -> {t}"
-            if heap_r is None:
-                continue
-            assert heap_r.cost == bucket_r.cost, f"{s} -> {t}"
-            assert heap_r.vertices == bucket_r.vertices, f"{s} -> {t}"
+            self._assert_same_cost(space, s, t, self._pi_p)
 
     def test_equivalence_with_ripup_penalties(self, space):
         for s, t in self._instances(space, seed=404, count=25):
-            heap_r, bucket_r = self._run_kernels(
-                space, s, t, interval_path_search, self._pi_h, ripup=3
-            )
-            assert (heap_r is None) == (bucket_r is None), f"{s} -> {t}"
-            if heap_r is None:
-                continue
-            assert heap_r.cost == bucket_r.cost, f"{s} -> {t}"
-            assert heap_r.vertices == bucket_r.vertices, f"{s} -> {t}"
+            self._assert_same_cost(space, s, t, self._pi_h, ripup=3)
 
     def test_equivalence_with_warm_interval_cache(self, space):
-        """heap == bucket with the cross-search interval cache warm.
+        """interval == node with the cross-search interval cache warm.
 
         The second pass must actually serve runs out of the cache
-        (interval_cache_hits > 0) and still return identical paths.
+        (interval_cache_hits > 0) and still return identical costs.
         """
         from repro.obs import OBS
 
         space.interval_cache.clear()
         instances = self._instances(space, seed=505, count=10)
         for s, t in instances:  # warm pass populates the cache
-            self._run_kernels(space, s, t, interval_path_search, self._pi_h)
+            self._assert_same_cost(space, s, t, self._pi_h)
         OBS.reset()
         OBS.configure(enabled=True)
         try:
             for s, t in instances:
-                heap_r, bucket_r = self._run_kernels(
-                    space, s, t, interval_path_search, self._pi_h
-                )
-                assert (heap_r is None) == (bucket_r is None), f"{s} -> {t}"
-                if heap_r is None:
-                    continue
-                assert heap_r.cost == bucket_r.cost, f"{s} -> {t}"
-                assert heap_r.vertices == bucket_r.vertices, f"{s} -> {t}"
+                self._assert_same_cost(space, s, t, self._pi_h)
             assert OBS.counters.get("fastgrid.interval_cache_hits", 0) > 0
         finally:
             OBS.reset()
-
-    def test_resolve_kernel(self):
-        assert isinstance(resolve_kernel("heap"), HeapKernel)
-        assert isinstance(resolve_kernel("bucket"), BucketKernel)
-        assert isinstance(resolve_kernel(None), BucketKernel)
-        kernel = HeapKernel()
-        assert resolve_kernel(kernel) is kernel
-        with pytest.raises(ValueError):
-            resolve_kernel("fibonacci")
-
-    def test_bucket_kernel_reuses_arrays_per_graph(self, space):
-        kernel = BucketKernel()
-        f1 = kernel.new_search(space.graph)
-        f2 = kernel.new_search(space.graph)
-        assert f1._arrays is f2._arrays
-        assert f2._gen > f1._gen  # generation bump invalidates f1's labels
 
 
 class TestFutureCosts:

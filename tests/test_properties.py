@@ -328,11 +328,12 @@ def _apply_soup(space, ops):
 
 
 class TestPackedWordsMatchScalar:
-    """The numpy-packed word path must equal the scalar fallback exactly.
+    """Packed cached words must equal freshly computed scalar words.
 
-    Both grids store the same uint16 encoding; on identical shape soups
-    every word (and its pack/unpack round trip against a fresh
-    ``_compute_word``) must agree bit for bit.
+    The grid stores each word in one uint16; on random shape soups every
+    cached word (and its pack/unpack round trip) must agree bit for bit
+    with a fresh ``_compute_word``, and a batch ``ensure_words`` fill
+    must agree with single ``word()`` lookups.
     """
 
     @settings(max_examples=6, deadline=None)
@@ -343,24 +344,19 @@ class TestPackedWordsMatchScalar:
         )
         rng = random.Random(seed)
         ops = _soup_ops(chip, rng)
-        vec = RoutingSpace(chip, fast_grid_vectorized=True)
-        scal = RoutingSpace(chip, fast_grid_vectorized=False)
-        assert vec.fast_grid.vectorized or scal.fast_grid.vectorized is False
-        _apply_soup(vec, ops)
-        _apply_soup(scal, ops)
-        graph = vec.graph
+        space = RoutingSpace(chip)
+        _apply_soup(space, ops)
+        fast = space.fast_grid
+        graph = space.graph
         for _ in range(30):
             z = rng.choice(chip.stack.indices)
             t = rng.randrange(len(graph.tracks[z]))
             c = rng.randrange(len(graph.crosses[z]))
             vertex = (z, t, c)
-            w_vec = vec.fast_grid.word("default", vertex)
-            w_scal = scal.fast_grid.word("default", vertex)
-            assert w_vec == w_scal, f"packed != scalar at {vertex}"
-            fresh = vec.fast_grid._compute_word(
-                vec.fast_grid.wire_types["default"], vertex
-            )
-            assert w_vec == fresh, f"cached != fresh at {vertex}"
+            packed = fast.word("default", vertex)
+            assert fast.word("default", vertex) == packed  # cached reread
+            fresh = fast._compute_word(fast.wire_types["default"], vertex)
+            assert packed == fresh, f"packed != fresh at {vertex}"
             assert unpack_word(pack_word(fresh)) == fresh
 
     def test_batch_fill_equals_single_lookups(self):
@@ -368,8 +364,8 @@ class TestPackedWordsMatchScalar:
             ChipSpec("vecbatch", rows=2, row_width_cells=4, net_count=4, seed=4)
         )
         ops = _soup_ops(chip, random.Random(7))
-        batch = RoutingSpace(chip, fast_grid_vectorized=True)
-        single = RoutingSpace(chip, fast_grid_vectorized=True)
+        batch = RoutingSpace(chip)
+        single = RoutingSpace(chip)
         _apply_soup(batch, ops)
         _apply_soup(single, ops)
         z, t = 3, 1
@@ -382,7 +378,7 @@ class TestPackedWordsMatchScalar:
 
 
 def _reference_runs(fast, type_name, z, t, ranges, ripup_level, forced):
-    """The pre-vectorization per-vertex decomposition, as an oracle."""
+    """The per-vertex decomposition, as an oracle for the word scans."""
     runs = []
     for c_lo, c_hi in ranges:
         run_start = None
@@ -415,9 +411,9 @@ def _reference_runs(fast, type_name, z, t, ranges, ripup_level, forced):
 class TestScannedIntervalsMatchPerVertex:
     """Word-level interval scans must equal the per-vertex decomposition.
 
-    ``scan_track_runs`` (numpy diff over packed words, or its scalar
-    twin) and the GraphView materialization on top of it must reproduce
-    the old per-vertex loop exactly — same run boundaries, same ripup
+    ``scan_track_runs`` (one sweep over the packed words) and the
+    GraphView materialization on top of it must reproduce the per-vertex
+    loop exactly — same run boundaries, same ripup
     singletons — on random soups, with and without forced vertices.
     """
 
@@ -429,41 +425,40 @@ class TestScannedIntervalsMatchPerVertex:
         )
         rng = random.Random(seed)
         ops = _soup_ops(chip, rng)
-        for vectorized in (True, False):
-            space = RoutingSpace(chip, fast_grid_vectorized=vectorized)
-            _apply_soup(space, ops)
-            fast = space.fast_grid
-            graph = space.graph
-            area = RoutingArea.everywhere()
-            for _ in range(10):
-                z = rng.choice(chip.stack.indices)
-                t = rng.randrange(len(graph.tracks[z]))
-                ripup = rng.choice((-2, 1, 3))
-                forced = set()
-                if rng.random() < 0.5:
-                    forced.add((z, t, rng.randrange(len(graph.crosses[z]))))
-                ranges = tuple(area.cross_ranges(graph, z, t))
-                expected = _reference_runs(
-                    fast, "default", z, t, ranges, ripup, forced
+        space = RoutingSpace(chip)
+        _apply_soup(space, ops)
+        fast = space.fast_grid
+        graph = space.graph
+        area = RoutingArea.everywhere()
+        for _ in range(10):
+            z = rng.choice(chip.stack.indices)
+            t = rng.randrange(len(graph.tracks[z]))
+            ripup = rng.choice((-2, 1, 3))
+            forced = set()
+            if rng.random() < 0.5:
+                forced.add((z, t, rng.randrange(len(graph.crosses[z]))))
+            ranges = tuple(area.cross_ranges(graph, z, t))
+            expected = _reference_runs(
+                fast, "default", z, t, ranges, ripup, forced
+            )
+            got = fast.scan_track_runs(
+                "default", z, t, ranges, ripup,
+                {v[2] for v in forced} or None,
+            )
+            assert got == expected, (
+                f"scan != per-vertex at z={z} t={t} ripup={ripup} "
+                f"forced={forced}"
+            )
+            # The view's materialized intervals agree too (and the
+            # cross-search cache returns the same runs on a rebuild).
+            for _round in range(2):
+                view = GraphView(
+                    space, "default", area, ripup_level=ripup,
+                    forced_vertices=forced,
                 )
-                got = fast.scan_track_runs(
-                    "default", z, t, ranges, ripup,
-                    {v[2] for v in forced} or None,
-                )
-                assert got == expected, (
-                    f"scan != per-vertex at z={z} t={t} ripup={ripup} "
-                    f"forced={forced} (vectorized={vectorized})"
-                )
-                # The view's materialized intervals agree too (and the
-                # cross-search cache returns the same runs on a rebuild).
-                for _round in range(2):
-                    view = GraphView(
-                        space, "default", area, ripup_level=ripup,
-                        forced_vertices=forced,
-                    )
-                    made = [
-                        (iv.c_lo, iv.c_hi, iv.needs_ripup)
-                        for _c, idx in view.track_intervals(z, t)
-                        for iv in [view.interval(idx)]
-                    ]
-                    assert made == expected
+                made = [
+                    (iv.c_lo, iv.c_hi, iv.needs_ripup)
+                    for _c, idx in view.track_intervals(z, t)
+                    for iv in [view.interval(idx)]
+                ]
+                assert made == expected

@@ -9,9 +9,12 @@ mismatch).  CI scripts depend on exactly this, so the tests drive
 """
 
 import json
+import shutil
+import subprocess
 
 import pytest
 
+import benchmarks.common
 from benchmarks.common import (
     BENCH_CHIP_SPECS,
     BENCH_MAX_RUNS,
@@ -21,6 +24,7 @@ from benchmarks.common import (
     bench_mode,
     bench_observability,
     bench_specs,
+    git_sha,
     obs_work_counters,
     write_bench_record,
 )
@@ -137,6 +141,28 @@ class TestWriteBenchRecord:
         path = _write(tmp_path, {"n": 5})
         document = json.loads(open(path).read())
         assert [run["work"]["n"] for run in document["runs"]] == [5]
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="git unavailable")
+    def test_git_sha_marks_uncommitted_code(self, tmp_path, _bench_env):
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "code.py").write_text("x = 1\n")
+        (tmp_path / "BENCH_table1.json").write_text("{}\n")
+        git("add", ".")
+        git("commit", "-q", "-m", "init")
+        _bench_env.setattr(benchmarks.common, "REPO_ROOT", tmp_path)
+        head = git_sha()
+        assert head is not None and not head.endswith("-dirty")
+        # A refreshed bench record alone does not make the code dirty.
+        (tmp_path / "BENCH_table1.json").write_text("{\"runs\": []}\n")
+        assert git_sha() == head
+        (tmp_path / "code.py").write_text("x = 2\n")
+        assert git_sha() == head + "-dirty"
 
 
 class TestLoadLatestRun:
