@@ -381,6 +381,11 @@ class FutureCostGR:
         costs = self.costs
         dist = self._dist
         interval_at = view.interval_at
+        via_partner = graph.via_partner
+        all_tracks = graph.tracks
+        all_crosses = graph.crosses
+        # Jogs cost their length times the layer's factor (SearchCosts.jog).
+        jog_factor = {z: costs.jog(z, 1) for z in graph.stack.indices}
         #: Truncate at the *first* settled source: every vertex within
         #: that backward radius - in particular the whole optimal path
         #: from the nearest source - already has its exact distance, and
@@ -406,13 +411,33 @@ class FutureCostGR:
                     return
             interval = interval_at(vertex)
             penalty = interval.penalty if interval is not None else 0
-            z = vertex[0]
-            for neighbour, kind, length in graph.neighbors(vertex):
+            # The <= 6 neighbours in TrackGraph.neighbors order, with
+            # their edge costs.
+            z, t, c = vertex
+            crosses = all_crosses[z]
+            tracks = all_tracks[z]
+            steps = []
+            if c > 0:
+                steps.append(((z, t, c - 1), crosses[c] - crosses[c - 1]))
+            if c + 1 < len(crosses):
+                steps.append(((z, t, c + 1), crosses[c + 1] - crosses[c]))
+            if t > 0:
+                steps.append(
+                    ((z, t - 1, c), jog_factor[z] * (tracks[t] - tracks[t - 1]))
+                )
+            if t + 1 < len(tracks):
+                steps.append(
+                    ((z, t + 1, c), jog_factor[z] * (tracks[t + 1] - tracks[t]))
+                )
+            for other in (z - 1, z + 1):
+                partner = via_partner(vertex, other)
+                if partner is not None:
+                    steps.append((partner, costs.via(min(z, other))))
+            for neighbour, cost in steps:
                 n_interval = interval_at(neighbour)
                 if n_interval is None:
                     continue
-                layer_or_via = min(z, neighbour[0]) if kind == "via" else z
-                nd = d + costs.edge_cost(kind, layer_or_via, length)
+                nd = d + cost
                 if n_interval is not interval:
                     # The forward step neighbour -> vertex enters the
                     # popped vertex's interval and pays its penalty.

@@ -22,6 +22,7 @@ Spacing model:
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.l1 import rect_l2_gap, run_length
@@ -94,8 +95,6 @@ class PrefetchedBand:
         self._max_span = max(spans) if spans else 0
 
     def query(self, window: Rect) -> List[ShapeEntry]:
-        import bisect
-
         if self._axis_x:
             lo_bound = window.x_lo - self._max_span
             hi_bound = window.x_hi

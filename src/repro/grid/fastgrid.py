@@ -11,7 +11,18 @@ generation counters (epochs) instead of popping dict entries.
 Storage layout: one uint16 word per vertex, four legal bits (bit ``i`` for
 ``SHAPE_TYPES[i]``) plus four 3-bit ripup fields (bits ``4 + 3i``), with
 ``RIPUP_FIXED`` encoded as 7, in a pure-python ``array('H')`` per track
-with a ``bytearray`` of validity bits beside it.
+with two ``bytearray`` validity maps beside it, one per word half:
+
+* the *wire half* (wire bit and its ripup field) is what the interval
+  decomposition reads; ``ensure_words`` batch-fills it with one
+  ``check_metal`` per vertex against a prefetched band of the track's
+  own layer;
+* the *jog/via half* (jog, via_down, via_up) is filled per vertex the
+  first time a lookup needs it (``vertex_usable``/``vertex_needs_ripup``
+  for those shape types, or ``word``).
+
+A half that is not filled is stored as zero bits.  Invalidation clears
+both halves together, so every answer equals a freshly computed word.
 
 Edge usability is deduced from the two endpoint vertex words whenever only
 on-track wiring is present; where off-track shapes are nearby, a *dirty
@@ -21,11 +32,14 @@ bit* at a vertex forces a direct shape-grid query for its incident edges
 searches over an unchanged region stop re-querying the shape grid.
 
 Counter semantics (normalized): ``hits``/``misses`` count *vertex-word
-lookups* (a batch fill counts one miss per word computed and one hit per
-word reused); ``fastgrid.queries`` counts *edge* queries, so hits may
-legitimately exceed queries.  ``fastgrid.interval_cache_hits`` and
-``fastgrid.segment_cache_hits`` count reuse in the two cross-search memo
-layers on top of the words themselves.
+lookups* by their wire half (a batch fill counts one miss per wire half
+computed and one hit per word reused; a lookup whose wire half is cached
+is a hit even when it fills the jog/via half); ``cross_fills`` counts
+jog/via-half computations; ``fastgrid.queries`` counts *edge* queries, so
+hits may legitimately exceed queries.  ``fastgrid.interval_cache_hits``
+and ``fastgrid.segment_cache_hits`` count reuse in the two cross-search
+memo layers on top of the words themselves.  With the grid disabled
+every lookup computes a full word and counts one miss.
 """
 
 from __future__ import annotations
@@ -54,18 +68,24 @@ Word = Tuple[Tuple[bool, int], ...]
 #: beyond the encodable range) as 7.
 _RIPUP_FIXED_ENC = 7
 
+#: Entry of a shape type the wire type cannot place here at all.
+_BLOCKED = (False, RIPUP_FIXED)
+
+
+def _pack_entry(i: int, legal: bool, needed: int) -> int:
+    """Bits of entry ``i`` (legal bit + 3-bit ripup field) of a word."""
+    if needed == RIPUP_FIXED or needed > 6 or needed < 0:
+        enc = _RIPUP_FIXED_ENC
+    else:
+        enc = int(needed)
+    return (1 << i if legal else 0) | enc << (4 + 3 * i)
+
 
 def pack_word(word: Word) -> int:
     """Pack a 4-entry legality word into one uint16."""
     bits = 0
     for i, (legal, needed) in enumerate(word):
-        if legal:
-            bits |= 1 << i
-        if needed == RIPUP_FIXED or needed > 6 or needed < 0:
-            enc = _RIPUP_FIXED_ENC
-        else:
-            enc = int(needed)
-        bits |= enc << (4 + 3 * i)
+        bits |= _pack_entry(i, legal, needed)
     return bits
 
 
@@ -79,14 +99,23 @@ def unpack_word(bits: int) -> Word:
     return tuple(out)
 
 
-class _TrackWords:
-    """Packed words + validity bits for one (wire type, layer, track)."""
+def _entry(check: PlacementCheck) -> Tuple[bool, int]:
+    return (check.legal, check.max_ripup_needed)
 
-    __slots__ = ("words", "valid")
+
+class _TrackWords:
+    """Packed words + per-half validity bits for one (wire type, layer, track).
+
+    ``valid[c]`` marks the wire half of word ``c`` filled, ``cross_valid[c]``
+    its jog/via half; a filled jog/via half implies a filled wire half.
+    """
+
+    __slots__ = ("words", "valid", "cross_valid")
 
     def __init__(self, ncross: int) -> None:
         self.words = array("H", bytes(2 * ncross))
         self.valid = bytearray(ncross)
+        self.cross_valid = bytearray(ncross)
 
 
 class IntervalCache:
@@ -158,51 +187,69 @@ class FastGrid:
         self._segment_memo: Dict[tuple, Tuple[int, bool, int]] = {}
         self.hits = 0
         self.misses = 0
+        self.cross_fills = 0
 
     # ------------------------------------------------------------------
     # Word computation
     # ------------------------------------------------------------------
-    def _compute_word(
-        self, wire_type: WireType, vertex: Vertex, prefetched=None
-    ) -> Word:
-        x, y, z = self.graph.position(vertex)
-        checks: List[Tuple[bool, int]] = []
-        stack = self.graph.stack
-        point = StickFigure(z, x, y, x, y)
-        wiring_entries = (
-            None if prefetched is None else prefetched.get(("wiring", z))
+    def _wire_entry(
+        self, wire_type: WireType, x: int, y: int, z: int, band=None
+    ) -> Tuple[bool, int]:
+        """Wire-half entry: a preferred-direction wire start at (x, y, z).
+
+        ``band`` is an optional :class:`PrefetchedBand` of layer z's
+        wiring covering the check window.
+        """
+        if not wire_type.has_layer(z):
+            return _BLOCKED
+        shape, cls, _ = wire_type.wire_shape(
+            StickFigure(z, x, y, x, y), self.graph.stack
         )
-        for shape_type in SHAPE_TYPES:
-            check: Optional[PlacementCheck] = None
-            if shape_type == "wire":
-                if wire_type.has_layer(z):
-                    shape, cls, _ = wire_type.wire_shape(point, stack)
-                    check = self.checker.check_metal(
-                        z, shape, cls.rule_width, None, prefetched=wiring_entries
-                    )
-            elif shape_type == "jog":
-                if wire_type.has_layer(z):
-                    model = wire_type.nonpreferred_model(z)
-                    shape = model.metal_shape(point, stack.direction(z))
-                    check = self.checker.check_metal(
-                        z, shape, model.shape_class.rule_width, None,
-                        prefetched=wiring_entries,
-                    )
-            elif shape_type == "via_down":
-                if stack.has_layer(z - 1) and wire_type.has_via_layer(z - 1):
-                    check = self.checker.check_via(
-                        wire_type, z - 1, x, y, None, prefetched=prefetched
-                    )
-            else:  # via_up
-                if stack.has_layer(z + 1) and wire_type.has_via_layer(z):
-                    check = self.checker.check_via(
-                        wire_type, z, x, y, None, prefetched=prefetched
-                    )
-            if check is None:
-                checks.append((False, RIPUP_FIXED))
-            else:
-                checks.append((check.legal, check.max_ripup_needed))
-        return tuple(checks)
+        return _entry(
+            self.checker.check_metal(z, shape, cls.rule_width, None, prefetched=band)
+        )
+
+    def _cross_entries(
+        self, wire_type: WireType, x: int, y: int, z: int
+    ) -> Tuple[Tuple[bool, int], ...]:
+        """Jog/via-half entries: jog, via down and via up at (x, y, z)."""
+        stack = self.graph.stack
+        checker = self.checker
+        jog = via_down = via_up = _BLOCKED
+        if wire_type.has_layer(z):
+            model = wire_type.nonpreferred_model(z)
+            shape = model.metal_shape(StickFigure(z, x, y, x, y), stack.direction(z))
+            jog = _entry(
+                checker.check_metal(z, shape, model.shape_class.rule_width, None)
+            )
+        if stack.has_layer(z - 1) and wire_type.has_via_layer(z - 1):
+            via_down = _entry(checker.check_via(wire_type, z - 1, x, y, None))
+        if stack.has_layer(z + 1) and wire_type.has_via_layer(z):
+            via_up = _entry(checker.check_via(wire_type, z, x, y, None))
+        return (jog, via_down, via_up)
+
+    def _compute_word(self, wire_type: WireType, vertex: Vertex) -> Word:
+        """The full word at ``vertex``, computed from the rule checker."""
+        x, y, z = self.graph.position(vertex)
+        return (self._wire_entry(wire_type, x, y, z),) + self._cross_entries(
+            wire_type, x, y, z
+        )
+
+    def _cross_bits(self, wire_type: WireType, vertex: Vertex) -> int:
+        """Packed jog/via half at ``vertex`` (one counted cross fill).
+
+        Computed per vertex with direct shape-grid queries: only about
+        one word in ten ever gets a jog or via query, and a band prefetch
+        per track chunk measured slower than these small queries.
+        """
+        self.cross_fills += 1
+        if OBS.enabled:
+            OBS.count("fastgrid.cross_fills")
+        x, y, z = self.graph.position(vertex)
+        bits = 0
+        for i, entry in enumerate(self._cross_entries(wire_type, x, y, z), 1):
+            bits |= _pack_entry(i, *entry)
+        return bits
 
     def _track_words(self, wire_type_name: str, z: int, t: int) -> _TrackWords:
         key = (wire_type_name, z, t)
@@ -215,13 +262,15 @@ class FastGrid:
     def ensure_words(
         self, wire_type_name: str, z: int, t: int, c_lo: int, c_hi: int
     ) -> int:
-        """Batch-fill the word arrays for a track segment.
+        """Batch-fill the wire halves of the words of a track segment.
 
-        One shape-grid traversal per (kind, layer) band replaces the
-        per-vertex traversals; each vertex's checks then filter the
-        prefetched entries by its own query window, giving results
-        identical to individual :meth:`word` calls.  Returns the number
-        of words actually computed (invalid before the call).
+        One shape-grid traversal of layer z's wiring over the segment's
+        band replaces the per-vertex traversals; each vertex's wire check
+        then filters the prefetched entries by its own query window,
+        giving results identical to individual :meth:`word` calls.  The
+        jog/via halves stay unfilled until a lookup needs them.  Returns
+        the number of wire halves actually computed (invalid before the
+        call).
         """
         if not self.enabled or c_lo > c_hi:
             return 0
@@ -232,36 +281,27 @@ class FastGrid:
             return 0
         wire_type = self.wire_types[wire_type_name]
         graph = self.graph
-        stack = graph.stack
-        x0, y0, _ = graph.position((z, t, missing[0]))
-        x1, y1, _ = graph.position((z, t, missing[-1]))
-        band = Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
-        prefetched = {}
-        for layer in (z - 1, z, z + 1):
-            if not stack.has_layer(layer):
-                continue
-            margin = (
-                self.checker.rules.max_interaction_distance(layer)
-                + 4 * stack[layer].pitch
-            )
-            prefetched[("wiring", layer)] = PrefetchedBand(
-                self.checker.prefetch_entries("wiring", layer, band.expanded(margin)),
-                axis_x=band.width >= band.height,
-            )
-        for via_layer in (z - 1, z):
-            if via_layer in stack.via_layers():
-                margin = 4 * stack[via_layer].pitch
-                prefetched[("via", via_layer)] = PrefetchedBand(
-                    self.checker.prefetch_entries(
-                        "via", via_layer, band.expanded(margin)
-                    ),
-                    axis_x=band.width >= band.height,
-                )
+        crosses = graph.crosses[z]
+        track = graph.tracks[z][t]
+        horizontal = graph.stack.direction(z) is Direction.HORIZONTAL
+        lo, hi = crosses[missing[0]], crosses[missing[-1]]
+        band = Rect(lo, track, hi, track) if horizontal else Rect(track, lo, track, hi)
+        margin = (
+            self.checker.rules.max_interaction_distance(z)
+            + 4 * graph.stack[z].pitch
+        )
+        wiring = PrefetchedBand(
+            self.checker.prefetch_entries("wiring", z, band.expanded(margin)),
+            axis_x=band.width >= band.height,
+        )
         words = tw.words
+        wire_entry = self._wire_entry
         for c in missing:
-            words[c] = pack_word(
-                self._compute_word(wire_type, (z, t, c), prefetched=prefetched)
-            )
+            if horizontal:
+                entry = wire_entry(wire_type, crosses[c], track, z, wiring)
+            else:
+                entry = wire_entry(wire_type, track, crosses[c], z, wiring)
+            words[c] = _pack_entry(0, *entry)
             valid[c] = True
         self.misses += len(missing)
         if OBS.enabled:
@@ -269,8 +309,12 @@ class FastGrid:
             OBS.count("fastgrid.words_prefetched", len(missing))
         return len(missing)
 
-    def _packed(self, wire_type_name: str, vertex: Vertex) -> int:
-        """Packed legality word at a vertex, from cache or computed."""
+    def _packed(self, wire_type_name: str, vertex: Vertex, cross: bool = True) -> int:
+        """Packed legality word at a vertex, from cache or computed.
+
+        ``cross`` asks for the jog/via half as well; without it only the
+        wire half is guaranteed filled in the returned bits.
+        """
         wire_type = self.wire_types[wire_type_name]
         if not self.enabled:
             self.misses += 1
@@ -283,13 +327,22 @@ class FastGrid:
             self.hits += 1
             if OBS.enabled:
                 OBS.count("fastgrid.hits")
-            return tw.words[c]
-        self.misses += 1
-        if OBS.enabled:
-            OBS.count("fastgrid.misses")
-        bits = pack_word(self._compute_word(wire_type, vertex))
+            bits = tw.words[c]
+            if not cross or tw.cross_valid[c]:
+                return bits
+        else:
+            self.misses += 1
+            if OBS.enabled:
+                OBS.count("fastgrid.misses")
+            x, y, _ = self.graph.position(vertex)
+            bits = _pack_entry(0, *self._wire_entry(wire_type, x, y, z))
+            tw.valid[c] = True
+            if not cross:
+                tw.words[c] = bits
+                return bits
+        bits |= self._cross_bits(wire_type, vertex)
         tw.words[c] = bits
-        tw.valid[c] = True
+        tw.cross_valid[c] = True
         return bits
 
     def word(self, wire_type_name: str, vertex: Vertex) -> Word:
@@ -304,15 +357,20 @@ class FastGrid:
 
     def cached_word(
         self, wire_type_name: str, z: int, t: int, c: int
-    ) -> Optional[Word]:
+    ) -> Optional[Tuple[Optional[Tuple[bool, int]], ...]]:
         """The stored word at (z, t, c), or None when not cached.
 
+        A word whose jog/via half is not filled yet (after a batch fill
+        or a wire-only lookup) comes back as ``(wire, None, None, None)``.
         Read-only introspection for tests and stats — never computes.
         """
         tw = self._tracks.get((wire_type_name, z, t))
         if tw is None or not tw.valid[c]:
             return None
-        return unpack_word(tw.words[c])
+        word = unpack_word(tw.words[c])
+        if tw.cross_valid[c]:
+            return word
+        return (word[0], None, None, None)
 
     def cached_word_count(self) -> int:
         """Number of currently valid cached words across all tracks."""
@@ -330,7 +388,7 @@ class FastGrid:
         shapes up to that ripup level may be assumed removable.
         """
         i = _SHAPE_INDEX[shape_type]
-        bits = self._packed(wire_type_name, vertex)
+        bits = self._packed(wire_type_name, vertex, i > 0)
         if (bits >> i) & 1:
             return True
         if ripup_level < 0:
@@ -342,7 +400,7 @@ class FastGrid:
         self, wire_type_name: str, vertex: Vertex, shape_type: str
     ) -> bool:
         i = _SHAPE_INDEX[shape_type]
-        return not (self._packed(wire_type_name, vertex) >> i) & 1
+        return not (self._packed(wire_type_name, vertex, i > 0) >> i) & 1
 
     def edge_usable(
         self,
@@ -495,13 +553,13 @@ class FastGrid:
         """Clear cached words near ``rect`` on ``layer`` and its neighbours.
 
         Via legality on adjacent layers depends on shapes here, so the
-        invalidation spans layers ``layer - 1 .. layer + 1``.  Validity
-        bits are cleared with one slice store per cached track, the
-        global epoch is bumped once (invalidating the segment memo), and
-        each touched track's epoch is bumped (invalidating interval-cache
-        runs).  With ``off_track`` set, the affected vertices additionally
-        get dirty bits so incident-edge legality is re-derived from the
-        shape grid.
+        invalidation spans layers ``layer - 1 .. layer + 1``.  The validity
+        bits of both word halves are cleared with one slice store each per
+        cached track, the global epoch is bumped once (invalidating the
+        segment memo), and each touched track's epoch is bumped
+        (invalidating interval-cache runs).  With ``off_track`` set, the
+        affected vertices additionally get dirty bits so incident-edge
+        legality is re-derived from the shape grid.
         """
         self.epoch += 1
         stack = self.graph.stack
@@ -530,6 +588,7 @@ class FastGrid:
                     tw = self._tracks.get((wt_name, z, t))
                     if tw is not None:
                         tw.valid[c_lo:c_hi + 1] = cleared
+                        tw.cross_valid[c_lo:c_hi + 1] = cleared
             if off_track:
                 for t in track_range:
                     dirty = self._dirty.setdefault((z, t), set())
@@ -570,7 +629,8 @@ class FastGrid:
         This is the storage unit of the real fast grid (Fig. 4); we keep
         per-vertex word arrays for simplicity but report the interval
         statistic they would compress to.  Tracks iterate in stored
-        (array) order — no per-call sorting.
+        (array) order — no per-call sorting.  Words are compared as
+        stored, so an unfilled jog/via half compares as zero bits.
         """
         count = 0
         for tw in self._tracks.values():

@@ -50,6 +50,22 @@ class TrackGraph:
             z: {coord: i for i, coord in enumerate(self.crosses[z])}
             for z in stack.indices
         }
+        # (z, adjacent layer) -> (track map by c, cross map by t).  Adjacent
+        # layers run orthogonally, so the partner of (z, t, c) has its
+        # track at z's cross coordinate c (None when that is a track of
+        # the layer on the other side only) and its cross at z's track t.
+        self._via_maps: Dict[
+            Tuple[int, int], Tuple[List[Optional[int]], List[int]]
+        ] = {}
+        for z in stack.indices:
+            for other in (z - 1, z + 1):
+                if stack.has_layer(other):
+                    track_index = self._track_index[other]
+                    cross_index = self._cross_index[other]
+                    self._via_maps[(z, other)] = (
+                        [track_index.get(x) for x in self.crosses[z]],
+                        [cross_index[x] for x in self.tracks[z]],
+                    )
 
     # ------------------------------------------------------------------
     # Coordinates
@@ -110,11 +126,19 @@ class TrackGraph:
                 yield (via, "via", 0)
 
     def via_partner(self, vertex: Vertex, other_layer: int) -> Optional[Vertex]:
-        """The vertex straight above/below on ``other_layer``, if any."""
-        if not self.stack.has_layer(other_layer):
+        """The vertex straight above/below on the adjacent ``other_layer``.
+
+        None when ``other_layer`` is not a layer adjacent to the vertex's,
+        or no track of it crosses the vertex.
+        """
+        z, t, c = vertex
+        maps = self._via_maps.get((z, other_layer))
+        if maps is None:
             return None
-        x, y, _z = self.position(vertex)
-        return self.vertex_at(x, y, other_layer)
+        partner_t = maps[0][c]
+        if partner_t is None:
+            return None
+        return (other_layer, partner_t, maps[1][t])
 
     # ------------------------------------------------------------------
     # Locating vertices near geometry (for S/T construction)

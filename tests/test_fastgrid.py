@@ -6,7 +6,7 @@ from repro.chip.generator import ChipSpec, generate_chip
 from repro.droute.space import RoutingSpace
 from repro.geometry.rect import Rect
 from repro.grid.shapegrid import RipupLevel
-from repro.tech.wiring import StickFigure
+from repro.tech.wiring import ShapeKind, StickFigure
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +47,23 @@ class TestWords:
         assert not space.fast_grid.vertex_usable("wide", vertex, "wire")
 
     def test_batch_matches_individual(self, space):
+        """A batch fill stores the wire half; ``word`` completes the rest.
+
+        Both halves must equal a freshly computed word bit for bit.
+        """
         fast = space.fast_grid
         z, t = 3, 1
         fast.ensure_words("default", z, t, 0, 10)
         for c in range(0, 11):
             cached = fast.cached_word("default", z, t, c)
             fresh = fast._compute_word(fast.wire_types["default"], (z, t, c))
-            assert cached == fresh, f"batched word differs at c={c}"
+            assert cached == (fresh[0], None, None, None), (
+                f"batched wire half differs at c={c}"
+            )
+            assert fast.word("default", (z, t, c)) == fresh, (
+                f"completed word differs at c={c}"
+            )
+            assert fast.cached_word("default", z, t, c) == fresh
 
 
 class TestInvalidation:
@@ -116,6 +126,70 @@ class TestInvalidation:
             z, Rect(mid_x - 10, yv - 10, mid_x + 10, yv + 10), off_track=True
         )
         assert not space.fast_grid.edge_usable("default", v, w, "wire")
+
+
+class TestWordHalves:
+    """The wire half is batch-filled; the jog/via half is filled on demand.
+
+    Invalidation must drop both halves, so a jog/via half filled before a
+    shape change can never survive the wire half's refill.
+    """
+
+    def test_counters_split_by_half(self):
+        spec = ChipSpec("fghalf", rows=2, row_width_cells=4, net_count=4, seed=3)
+        fast = RoutingSpace(generate_chip(spec)).fast_grid
+        z, t = 3, 1
+        assert fast.ensure_words("default", z, t, 0, 4) == 5
+        assert (fast.misses, fast.hits, fast.cross_fills) == (5, 0, 0)
+        fast.vertex_usable("default", (z, t, 2), "wire")
+        assert (fast.misses, fast.hits, fast.cross_fills) == (5, 1, 0)
+        fast.vertex_usable("default", (z, t, 2), "jog")
+        assert (fast.misses, fast.hits, fast.cross_fills) == (5, 2, 1)
+        fast.vertex_usable("default", (z, t, 2), "via_up")
+        assert (fast.misses, fast.hits, fast.cross_fills) == (5, 3, 1)
+        # An uncached vertex asked for a via computes both halves at once.
+        fast.vertex_usable("default", (z, t, 9), "via_down")
+        assert (fast.misses, fast.hits, fast.cross_fills) == (6, 3, 2)
+        # ... and one asked for its wire only computes the wire half.
+        fast.vertex_usable("default", (z, t, 11), "wire")
+        assert (fast.misses, fast.cross_fills) == (7, 2)
+        assert fast.cached_word("default", z, t, 11)[1:] == (None, None, None)
+
+    @pytest.mark.parametrize("shape_type", ["via_up", "via_down"])
+    def test_stale_cross_half_never_survives(self, shape_type):
+        spec = ChipSpec("fgstale", rows=2, row_width_cells=4, net_count=4, seed=3)
+        space = RoutingSpace(generate_chip(spec))
+        graph = space.graph
+        fast = space.fast_grid
+        wire_type = fast.wire_types["default"]
+        z = 3
+        t = len(graph.tracks[z]) // 2
+        c = len(graph.crosses[z]) // 2
+        vertex = (z, t, c)
+        x, y, _ = graph.position(vertex)
+        fast.ensure_words("default", z, t, 0, len(graph.crosses[z]) - 1)
+        before = fast._compute_word(wire_type, vertex)
+        assert fast.vertex_usable("default", vertex, shape_type)
+        assert fast.word("default", vertex) == before
+        if shape_type == "via_up":
+            # A foreign via cut right above the vertex: only via legality.
+            layer, kind, shape_kind = z, "via", ShapeKind.VIA_CUT
+        else:
+            # Foreign metal on the layer below: only via-down legality.
+            layer, kind, shape_kind = z - 1, "wiring", ShapeKind.WIRE
+        blob = Rect(x - 10, y - 10, x + 10, y + 10)
+        space.shape_grid.add_shape(
+            kind, layer, blob, "othernet", "blob", shape_kind, 3, 20
+        )
+        fast.invalidate_region(layer, blob)
+        fast.ensure_words("default", z, t, 0, len(graph.crosses[z]) - 1)
+        after = fast._compute_word(wire_type, vertex)
+        assert after[0] == before[0]  # the wire half did not change ...
+        i = ("wire", "jog", "via_down", "via_up").index(shape_type)
+        assert not after[i][0]  # ... but the via became illegal
+        assert fast.cached_word("default", z, t, c) == (after[0], None, None, None)
+        assert not fast.vertex_usable("default", vertex, shape_type)
+        assert fast.word("default", vertex) == after
 
 
 class TestStats:

@@ -5,7 +5,8 @@
 * distance-rule checker cross-validation: a placement the checker calls
   legal never creates a spacing violation the DRC checker would flag;
 * fast-grid invalidation: inserting then removing a net's wiring leaves
-  every cached legality word identical to a freshly built grid.
+  every cached legality word identical to a freshly built grid, and no
+  answer ever comes from a stale word half.
 """
 
 import random
@@ -21,8 +22,8 @@ from repro.droute.intervals import GraphView
 from repro.droute.space import RoutingSpace
 from repro.geometry.rect import Rect
 from repro.grid.blockgrid import BlockageGrid
-from repro.grid.fastgrid import pack_word, unpack_word
-from repro.grid.shapegrid import ShapeGrid
+from repro.grid.fastgrid import SHAPE_TYPES, pack_word, unpack_word
+from repro.grid.shapegrid import RIPUP_FIXED, ShapeGrid
 from repro.droute.route import ViaInstance
 from repro.tech.stacks import example_stack
 from repro.tech.wiring import ShapeKind, StickFigure
@@ -333,7 +334,8 @@ class TestPackedWordsMatchScalar:
     The grid stores each word in one uint16; on random shape soups every
     cached word (and its pack/unpack round trip) must agree bit for bit
     with a fresh ``_compute_word``, and a batch ``ensure_words`` fill
-    must agree with single ``word()`` lookups.
+    (wire half) completed by ``word()`` (jog/via half) must agree with
+    single ``word()`` lookups.
     """
 
     @settings(max_examples=6, deadline=None)
@@ -372,9 +374,135 @@ class TestPackedWordsMatchScalar:
         hi = len(batch.graph.crosses[z]) - 1
         batch.fast_grid.ensure_words("default", z, t, 0, hi)
         for c in range(hi + 1):
+            single_word = single.fast_grid.word("default", (z, t, c))
+            # The batch fill stores the wire half only ...
             assert batch.fast_grid.cached_word("default", z, t, c) == (
-                single.fast_grid.word("default", (z, t, c))
+                single_word[0], None, None, None
             )
+            # ... and the first full lookup completes the jog/via half.
+            assert batch.fast_grid.word("default", (z, t, c)) == single_word
+
+
+class TestWordHalvesMatchFreshSpace:
+    """On-demand word halves never answer from a stale half.
+
+    Random soups interleave batch wire fills (``ensure_words``), full
+    lookups (``word``), per-shape-type ``vertex_usable`` and
+    ``vertex_needs_ripup`` queries with wire/via insertions and removals
+    (each invalidating through the routing space), all in a small window
+    so that shapes and queries interact.  Every answer must equal the
+    word of a freshly built ``RoutingSpace`` holding the same shapes.
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_answers_match_fresh_space(self, data):
+        chip = generate_chip(
+            ChipSpec("fghalves", rows=2, row_width_cells=4, net_count=4, seed=3)
+        )
+        space = RoutingSpace(chip)
+        graph = space.graph
+        fast = space.fast_grid
+        layers = chip.stack.indices
+        # A window around one physical point, expressed per layer.
+        cx, cy, _ = graph.position((3, len(graph.tracks[3]) // 2,
+                                    len(graph.crosses[3]) // 2))
+        centre = {z: graph.nearest_vertex(cx, cy, z) for z in layers}
+
+        def window(z):
+            _z, t0, c0 = centre[z]
+            return (
+                range(max(0, t0 - 2), min(len(graph.tracks[z]), t0 + 3)),
+                range(max(0, c0 - 3), min(len(graph.crosses[z]), c0 + 4)),
+            )
+
+        def draw_vertex(z):
+            tracks, crosses = window(z)
+            return (z, data.draw(st.sampled_from(tracks)),
+                    data.draw(st.sampled_from(crosses)))
+
+        live = {}  # net -> ("wire", stick) | ("via", via)
+
+        def build_fresh():
+            fresh = RoutingSpace(chip)
+            for net, (kind, shape) in live.items():
+                if kind == "wire":
+                    fresh.add_wire(net, "default", shape)
+                else:
+                    fresh.add_via(net, "default", shape)
+            return fresh.fast_grid
+
+        fresh = build_fresh()
+        ops = data.draw(st.lists(
+            st.sampled_from(["ensure", "word", "usable", "needs_ripup",
+                             "add_wire", "add_via", "remove"]),
+            min_size=4, max_size=24,
+        ))
+        for step, op in enumerate(ops):
+            if op == "ensure":
+                # Batch-fill the wire halves of the whole window, then
+                # check every cached half there.
+                for z in layers:
+                    tracks, crosses = window(z)
+                    for t in tracks:
+                        fast.ensure_words("default", z, t, crosses[0], crosses[-1])
+                        for c in crosses:
+                            cached = fast.cached_word("default", z, t, c)
+                            want = fresh.word("default", (z, t, c))
+                            assert cached[0] == want[0], (
+                                f"stale wire half at {(z, t, c)}"
+                            )
+                            for got, ref in zip(cached[1:], want[1:]):
+                                assert got is None or got == ref, (
+                                    f"stale jog/via half at {(z, t, c)}"
+                                )
+            elif op == "word":
+                vertex = draw_vertex(data.draw(st.sampled_from(layers)))
+                assert fast.word("default", vertex) == fresh.word("default", vertex)
+            elif op in ("usable", "needs_ripup"):
+                vertex = draw_vertex(data.draw(st.sampled_from(layers)))
+                shape_type = data.draw(st.sampled_from(SHAPE_TYPES))
+                legal, needed = fresh.word("default", vertex)[
+                    SHAPE_TYPES.index(shape_type)
+                ]
+                if op == "needs_ripup":
+                    assert fast.vertex_needs_ripup(
+                        "default", vertex, shape_type
+                    ) == (not legal)
+                    continue
+                level = data.draw(st.sampled_from([-2, 1, 2, 3]))
+                want = legal or (
+                    level >= 0 and needed != RIPUP_FIXED and needed <= level
+                )
+                assert fast.vertex_usable(
+                    "default", vertex, shape_type, level
+                ) == want, f"{shape_type} at {vertex}, level {level}"
+            elif op == "add_wire":
+                z = data.draw(st.sampled_from(layers))
+                _z, t, c = draw_vertex(z)
+                c1 = min(c + 2, len(graph.crosses[z]) - 1)
+                x0, y0, _ = graph.position((z, t, c))
+                x1, y1, _ = graph.position((z, t, c1))
+                stick = StickFigure(z, x0, y0, x1, y1)
+                live[f"w{step}"] = ("wire", stick)
+                space.add_wire(f"w{step}", "default", stick,
+                               off_track=data.draw(st.booleans()))
+                fresh = build_fresh()
+            elif op == "add_via":
+                via_layer = data.draw(st.sampled_from(chip.stack.via_layers()))
+                x, y, _ = graph.position(draw_vertex(via_layer))
+                via = ViaInstance(via_layer, x, y)
+                live[f"v{step}"] = ("via", via)
+                space.add_via(f"v{step}", "default", via)
+                fresh = build_fresh()
+            elif live:  # remove
+                net = data.draw(st.sampled_from(sorted(live)))
+                kind, shape = live.pop(net)
+                if kind == "wire":
+                    space.remove_wire(net, shape)
+                else:
+                    space.remove_via(net, shape)
+                fresh = build_fresh()
 
 
 def _reference_runs(fast, type_name, z, t, ranges, ripup_level, forced):

@@ -197,6 +197,38 @@ class TestTrackGraph:
                     found = True
         assert found
 
+    @pytest.mark.parametrize("spec_index", [0, 1])
+    def test_via_partner_matches_position_oracle(self, spec_index):
+        """The index-map ``via_partner`` equals position -> vertex_at.
+
+        Checked for every vertex and both adjacent layers, including the
+        ``None`` answers past the top and bottom of the stack and at
+        crosses that are tracks of the layer on the other side only.
+        """
+        chip = generate_chip(TABLE_CHIP_SPECS[spec_index])
+        graph = TrackGraph(chip.stack, build_track_plan(chip))
+        nones = {"off_stack": 0, "not_a_track": 0}
+        partners = 0
+        for z in chip.stack.indices:
+            for t in range(len(graph.tracks[z])):
+                for c in range(len(graph.crosses[z])):
+                    vertex = (z, t, c)
+                    for other in (z - 1, z + 1):
+                        if chip.stack.has_layer(other):
+                            x, y, _ = graph.position(vertex)
+                            expected = graph.vertex_at(x, y, other)
+                        else:
+                            expected = None
+                        got = graph.via_partner(vertex, other)
+                        assert got == expected, (vertex, other)
+                        if got is not None:
+                            partners += 1
+                        elif chip.stack.has_layer(other):
+                            nones["not_a_track"] += 1
+                        else:
+                            nones["off_stack"] += 1
+        assert partners and nones["off_stack"] and nones["not_a_track"]
+
     def test_vertices_in_rect(self):
         chip, graph = self._graph()
         die = chip.die
